@@ -13,9 +13,9 @@ test-unit:
 	$(PYTHON) -m pytest -x -q
 
 ## Quick suite: deselects the long-running Hypothesis property suites,
-## the process-spawning multicore suite, the serving-tier /
-## fault-injection suites (PR 8), and the replicated read-tier suites
-## (PR 9).
+## the multicore tests that spawn CatalogServer shard-pool workers, the
+## serving-tier / fault-injection suites (PR 8), and the replicated
+## read-tier suites (PR 9).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow and not multicore and not async_serve and not faultinject and not replica"
 

@@ -51,6 +51,7 @@ from typing import Callable, TYPE_CHECKING
 
 from ..errors import (
     AdmissionRejected,
+    PatternSyntaxError,
     RequestTimeout,
     ServingError,
     ShardCrashError,
@@ -58,6 +59,7 @@ from ..errors import (
 from ..obs import adopt, current_registry, current_tracer, span
 from ..obs.tracing import OpenSpan
 from ..patterns.ast import Pattern
+from ..patterns.parse import parse_pattern
 from ..patterns.serialize import to_xpath
 
 if TYPE_CHECKING:  # import cycle: server builds front ends
@@ -447,32 +449,65 @@ class AsyncFrontEnd:
     # Dispatch: execute one per-document batch, failure ladder included
     # ------------------------------------------------------------------
     async def _dispatch(self, doc_id: str, requests: list[_Request]) -> None:
-        xpaths = [req.xpath for req in requests]
         # Adopt the member requests' admission roots as the open
         # parents: batch-level spans fan out into every member's trace.
         with adopt([req.span for req in requests]):
             with span(
                 "serve.batch", doc_id=doc_id, size=len(requests)
             ) as scope:
-                try:
-                    ids, _kinds = await self._execute(doc_id, xpaths, scope)
-                except asyncio.CancelledError:
-                    for req in requests:
-                        if not req.future.done():
-                            req.future.cancel()
-                    raise
-                except Exception as exc:
-                    scope.set(outcome="failed", error=type(exc).__name__)
-                    self.stats.failed += len(requests)
-                    for req in requests:
-                        if not req.future.done():
-                            req.future.set_exception(exc)
-                    return
+                while True:
+                    xpaths = [req.xpath for req in requests]
+                    try:
+                        ids, _kinds = await self._execute(
+                            doc_id, xpaths, scope
+                        )
+                        break
+                    except asyncio.CancelledError:
+                        for req in requests:
+                            if not req.future.done():
+                                req.future.cancel()
+                        raise
+                    except Exception as exc:
+                        survivors = (
+                            self._fail_malformed(requests)
+                            if isinstance(exc, PatternSyntaxError)
+                            else requests
+                        )
+                        if survivors and len(survivors) < len(requests):
+                            # Only malformed members failed: serve the
+                            # rest as the same batch.
+                            requests = survivors
+                            continue
+                        scope.set(outcome="failed", error=type(exc).__name__)
+                        self.stats.failed += len(survivors)
+                        for req in survivors:
+                            if not req.future.done():
+                                req.future.set_exception(exc)
+                        return
                 scope.set(outcome="served")
                 self.stats.served += len(requests)
                 for req, answer in zip(requests, ids):
                     if not req.future.done():
                         req.future.set_result(answer)
+
+    def _fail_malformed(self, requests: list[_Request]) -> list[_Request]:
+        """Fail each member whose XPath does not parse; return the rest.
+
+        Runs only after a batch raised :class:`PatternSyntaxError`, so
+        the happy path never parses twice.  Each malformed member gets
+        its own error.
+        """
+        survivors = []
+        for req in requests:
+            try:
+                parse_pattern(req.xpath)
+            except PatternSyntaxError as exc:
+                self.stats.failed += 1
+                if not req.future.done():
+                    req.future.set_exception(exc)
+            else:
+                survivors.append(req)
+        return survivors
 
     async def _execute(
         self, doc_id: str, xpaths: list[str], scope=None

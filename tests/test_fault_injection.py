@@ -169,6 +169,68 @@ class TestShardPoolFaults:
         finally:
             pool.shutdown(wait=False)
 
+    def test_closed_pool_rejects_submit(self):
+        pool = ShardPool(None, [()])
+        pool.shutdown()
+        assert pool.closed
+        with pytest.raises(RuntimeError):
+            pool.submit(0, sorted, [3, 1])
+
+
+class TestShardPoolInterruptPropagation:
+    """Interrupts must escape pool construction (regression).
+
+    The fleet build used to wrap everything in a broad handler, so a
+    Ctrl-C during shard spawn was swallowed by callers' fallback paths.
+    Interrupts now clean up the partial fleet and re-raise; ordinary
+    ``Exception`` failures clean up and re-raise too.
+    """
+
+    @staticmethod
+    def _executor_factory(created, fail_with):
+        """Fake ``ProcessPoolExecutor``: first call records, second raises."""
+
+        def make(*, max_workers, initializer=None, initargs=()):
+            if created:
+                raise fail_with("second shard failed to start")
+            fake = type(
+                "FakeExecutor", (), {"shutdowns": None, "shutdown": None}
+            )()
+            fake.shutdowns = []
+            fake.shutdown = lambda wait=True: fake.shutdowns.append(wait)
+            created.append(fake)
+            return fake
+
+        return make
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_propagates_with_cleanup(self, monkeypatch, interrupt):
+        import repro.shardpool as shardpool
+
+        created: list = []
+        monkeypatch.setattr(
+            shardpool,
+            "ProcessPoolExecutor",
+            self._executor_factory(created, interrupt),
+        )
+        with pytest.raises(interrupt):
+            shardpool.ShardPool(None, [(), ()])
+        # The half-built fleet was discarded without waiting on workers.
+        assert [fake.shutdowns for fake in created] == [[False]]
+
+    def test_ordinary_failure_also_cleans_and_raises(self, monkeypatch):
+        import repro.shardpool as shardpool
+
+        created: list = []
+        monkeypatch.setattr(
+            shardpool,
+            "ProcessPoolExecutor",
+            self._executor_factory(created, RuntimeError),
+        )
+        with pytest.raises(RuntimeError):
+            shardpool.ShardPool(None, [(), ()])
+        assert [fake.shutdowns for fake in created] == [[False]]
+
 
 # ----------------------------------------------------------------------
 # Inline failure ladder (single process, fully deterministic counters)

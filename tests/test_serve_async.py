@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.catalog import CatalogServer, CatalogSpec, DocumentSpec
 from repro.errors import (
     AdmissionRejected,
+    PatternSyntaxError,
     RequestTimeout,
     ServingError,
     UnknownDocumentError,
@@ -183,6 +184,31 @@ class TestAdmission:
                 await front.submit("doc-0", queries["doc-0"][0])
 
         asyncio.run(go())
+
+
+    def test_poisoned_query_does_not_fail_batchmates(self, fleet, server):
+        """A malformed XPath fails alone; its batchmates are served."""
+        _, queries = fleet
+        good = [queries["doc-0"][0], queries["doc-0"][1]]
+        baseline = server.serve_requests([("doc-0", x) for x in good])
+
+        async def go():
+            async with server.serve(batch_size=8) as front:
+                first = await front.submit("doc-0", good[0])
+                bad = await front.submit("doc-0", "a/[[")
+                second = await front.submit("doc-0", good[1])
+                answers = [await first, await second]
+                with pytest.raises(PatternSyntaxError) as info:
+                    await bad
+                return answers, info.value, front.counters()
+
+        answers, error, counters = asyncio.run(go())
+        assert answers == baseline.answer_ids
+        assert error.text == "a/[["
+        assert counters["served"] == 2
+        assert counters["failed"] == 1
+        # All three shared one window.
+        assert [tuple(e) for e in counters["dispatch_log"]] == [("doc-0", 3, 0)]
 
 
 class TestDeadlines:

@@ -1,8 +1,12 @@
-"""The repo's stdlib lint tooling (``tools/lint_exceptions.py``)."""
+"""The repo's stdlib tooling: ``tools/lint_exceptions.py`` and
+``tools/trace_report.py``."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -353,3 +357,29 @@ class TestObservabilityClockRule:
             "stamp = time.time()\n"
         )
         assert len(lint.run_lint([bad])) == 1
+
+
+class TestTraceReportPipe:
+    def test_closed_reader_exits_quietly(self, tmp_path):
+        """``trace_report.py ... | head`` exits 0 with no traceback."""
+        export = tmp_path / "traces.jsonl"
+        with open(export, "w", encoding="utf-8") as handle:
+            for i in range(3000):
+                handle.write(json.dumps({
+                    "trace_id": f"t{i}", "span_id": "s0", "parent_id": None,
+                    "name": "serve.request", "start": 0.0, "end": i * 1e-6,
+                }) + "\n")
+        proc = subprocess.Popen(
+            [sys.executable, str(REPO_ROOT / "tools" / "trace_report.py"),
+             str(export), "--top", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # The report is far larger than a pipe buffer, so the writer is
+        # still blocked mid-report when the reader closes.
+        proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, stderr
+        assert "Traceback" not in stderr

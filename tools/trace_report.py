@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -191,7 +192,13 @@ def main(argv: list[str] | None = None) -> int:
     if not records:
         print("trace_report: no spans in export", file=sys.stderr)
         return 1
-    print(render_report(records, top=args.top))
+    try:
+        print(render_report(records, top=args.top))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's exit-time flush cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
